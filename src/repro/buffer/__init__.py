@@ -3,7 +3,7 @@ open trees with holes, fill-request chasing (Figure 8), granularity
 policies, and prefetching."""
 
 from .batch import BatchingBuffer, BatchStats
-from .component import BufferComponent, BufferStats
+from .component import BufferComponent, BufferMeter, BufferStats
 from .holes import (
     FragElem,
     FragHole,
@@ -36,7 +36,7 @@ __all__ = [
     "open_tree_to_tree", "count_holes", "reply_holes",
     "LXPServer", "LXPStats", "TreeLXPServer", "AdaptiveTreeLXPServer",
     "RandomizedLXPServer",
-    "BufferComponent", "BufferStats",
+    "BufferComponent", "BufferStats", "BufferMeter",
     "PrefetchingBuffer", "AsyncPrefetchingBuffer", "PrefetchStats",
     "BatchingBuffer", "BatchStats",
 ]

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
+from ..navigation.commands import LabelPredicate, label_is
+from ..navigation.counting import NavCounters, publish_command
 from ..navigation.interface import NavigableDocument
 from ..xtree.tree import Tree
 from .holes import (
@@ -27,13 +29,12 @@ from .holes import (
     OpenElem,
     OpenHole,
     fragment_of_tree,
-    graft,
-    validate_fill_reply,
+    graft_reply,
 )
 from .lxp import LXPServer
 from ..runtime.locks import make_rlock
 
-__all__ = ["BufferComponent", "BufferStats"]
+__all__ = ["BufferComponent", "BufferStats", "BufferMeter"]
 
 
 class _PrefilledServer(LXPServer):
@@ -76,11 +77,46 @@ class BufferStats:
         self.fills = 0
 
 
+class BufferMeter:
+    """The navigation meter of a buffer that meters its own commands.
+
+    :meth:`BufferComponent.meter` hands one out; it offers the
+    measurement surface of a :class:`~repro.navigation.counting.
+    CountingDocument` (``counters``, ``total``, ``reset()``, and the
+    buffer as ``inner``) without a proxy on the navigation path.
+    """
+
+    __slots__ = ("inner",)
+
+    def __init__(self, buffer: "BufferComponent") -> None:
+        self.inner = buffer
+
+    @property
+    def counters(self) -> NavCounters:
+        return self.inner.counters
+
+    @property
+    def total(self) -> int:
+        return self.inner.counters.total
+
+    def reset(self) -> None:
+        self.inner.reset_counters()
+
+
 class BufferComponent(NavigableDocument):
     """A NavigableDocument over an LXP wrapper, backed by an open tree.
 
     Pointers are :class:`OpenElem` nodes (object identity).  The open
     tree only ever grows/refines; handed-out pointers stay valid.
+
+    The buffer counts the ``d``/``r``/``f``/``select`` commands it
+    answers in :attr:`counters`, inside the critical section each
+    command takes anyway.  Once :meth:`meter` has made it its source's
+    meter, it also publishes each command as a ``source.*`` event and
+    a ``source_navigations_total`` increment -- before the command
+    runs, outside every lock -- exactly like a
+    :class:`~repro.navigation.counting.CountingDocument` stacked on
+    top would.
     """
 
     def __init__(self, server: LXPServer, tracer=None, name: str = ""):
@@ -103,6 +139,31 @@ class BufferComponent(NavigableDocument):
         #: results through the same lock.  Re-entrant: a splice may
         #: happen inside a navigation that already holds it.
         self._lock = make_rlock("buffer.component")
+        #: per-command counts of the navigations this buffer answered
+        self.counters = NavCounters()
+        #: where commands are published once :meth:`meter` was called
+        self._meter_tracer = None
+        self._meter_metrics = None
+
+    def meter(self, tracer=None, metrics=None) -> BufferMeter:
+        """Make this buffer its source's navigation meter: publish
+        every command to ``tracer`` (``source.*`` events) and
+        ``metrics`` (``source_navigations_total``), and return the
+        meter view of :attr:`counters`.
+
+        An unmetered buffer still counts but publishes nothing, so a
+        hand-built ``CountingDocument`` stacked on top stays the only
+        layer that emits.
+        """
+        self._meter_tracer = tracer
+        self._meter_metrics = metrics
+        return BufferMeter(self)
+
+    def reset_counters(self) -> None:
+        """Zero :attr:`counters` (under the lock that guards every
+        increment)."""
+        with self._lock:
+            self.counters.reset()
 
     @classmethod
     def prefilled(cls, tree: Tree, tracer=None,
@@ -120,8 +181,8 @@ class BufferComponent(NavigableDocument):
         # graph and closed a name-level cycle with the demand-fill
         # path (L010).
         buffer = cls(_PrefilledServer(), tracer=tracer, name=name)
-        root = graft(fragment_of_tree(tree), buffer._top)
-        buffer._top.children = [root]
+        buffer._top.children = graft_reply([fragment_of_tree(tree)],
+                                           buffer._top)
         return buffer
 
     # -- splicing --------------------------------------------------------
@@ -131,12 +192,13 @@ class BufferComponent(NavigableDocument):
         The one mutation point of the open tree: every fill reply --
         demanded, prefetched, batched or speculative -- lands here.
         """
-        validate_fill_reply(fragments)
         with self._lock:
-            self.stats.fills += 1
             parent = hole.parent
+            # Validates while grafting: a reply breaking the LXP
+            # progress rules raises before the open tree changes.
+            spliced = graft_reply(fragments, parent)
+            self.stats.fills += 1
             index = parent.children.index(hole)
-            spliced = [graft(f, parent) for f in fragments]
             parent.children[index:index + 1] = spliced
 
     def _fill_hole(self, hole: OpenHole) -> None:
@@ -184,44 +246,94 @@ class BufferComponent(NavigableDocument):
             return self._root
 
     def down(self, pointer: OpenElem) -> Optional[OpenElem]:
+        publish_command(self._meter_tracer, self._meter_metrics,
+                        self.name, "d")
         with self._lock:
-            self.stats.navigations += 1
-            before = self.stats.fills
+            self.counters.down += 1
+            stats = self.stats
+            stats.navigations += 1
+            before = stats.fills
             # demand fills run under the open-tree lock by
             # design; see BLOCKING_HOLD_ALLOWED
             # lint: allow=L011,L012
             result = self._chase_elem_at(pointer, 0)
-            if self.stats.fills == before:
-                self.stats.hits += 1
-            return result
+            if stats.fills == before:
+                stats.hits += 1
+        self._navigated()
+        return result
 
     def right(self, pointer: OpenElem) -> Optional[OpenElem]:
+        publish_command(self._meter_tracer, self._meter_metrics,
+                        self.name, "r")
         with self._lock:
-            self.stats.navigations += 1
-            before = self.stats.fills
-            parent = pointer.parent
-            if parent is None or parent is self._top:
-                # The root element has no siblings (the wrapper exports
-                # a single root; trailing holes beside it are not
-                # chased).
-                self.stats.hits += 1
-                return None
-            index = pointer.index_in_parent()
+            self.counters.right += 1
             # demand fills run under the open-tree lock by
             # design; see BLOCKING_HOLD_ALLOWED
             # lint: allow=L011,L012
-            result = self._chase_elem_at(parent, index + 1)
-            if self.stats.fills == before:
-                self.stats.hits += 1
-            return result
+            result = self._right_locked(pointer)
+        self._navigated()
+        return result
 
     def fetch(self, pointer: OpenElem) -> str:
+        publish_command(self._meter_tracer, self._meter_metrics,
+                        self.name, "f")
+        with self._lock:
+            self.counters.fetch += 1
+            self._fetch_locked()
+        return pointer.label
+
+    def select(self, pointer: OpenElem,
+               predicate: LabelPredicate) -> Optional[OpenElem]:
+        """One ``select`` command, answered by the open-tree steps of
+        the default ``right``/``fetch`` scan (each a buffer navigation
+        in :attr:`stats`, none a command of its own)."""
+        publish_command(self._meter_tracer, self._meter_metrics,
+                        self.name, "select")
+        with self._lock:
+            self.counters.select += 1
+        current = self._scan_right(pointer)
+        while current is not None:
+            with self._lock:
+                self._fetch_locked()
+            if label_is(predicate, current.label):
+                return current
+            current = self._scan_right(current)
+        return None
+
+    def _navigated(self) -> None:
+        """Hook run after every ``down``/``right`` step, outside the
+        lock (the prefetchers schedule their lookahead here)."""
+
+    def _scan_right(self, pointer: OpenElem) -> Optional[OpenElem]:
+        with self._lock:
+            # lint: allow=L011,L012 -- demand fills, as in right()
+            result = self._right_locked(pointer)
+        self._navigated()
+        return result
+
+    def _right_locked(self, pointer: OpenElem) -> Optional[OpenElem]:
+        """The right sibling; the caller holds the lock."""
+        stats = self.stats
+        stats.navigations += 1
+        parent = pointer.parent
+        if parent is None or parent is self._top:
+            # The root element has no siblings (the wrapper exports
+            # a single root; trailing holes beside it are not
+            # chased).
+            stats.hits += 1
+            return None
+        before = stats.fills
+        result = self._chase_elem_at(parent,
+                                     pointer.index_in_parent() + 1)
+        if stats.fills == before:
+            stats.hits += 1
+        return result
+
+    def _fetch_locked(self) -> None:
         # Labels always travel with their elements: a fetch never
         # triggers a fill.
-        with self._lock:
-            self.stats.navigations += 1
-            self.stats.hits += 1
-        return pointer.label
+        self.stats.navigations += 1
+        self.stats.hits += 1
 
     # -- inspection -------------------------------------------------------
     def open_root(self) -> Optional[OpenElem]:

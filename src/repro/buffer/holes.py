@@ -28,7 +28,8 @@ from ..xtree.tree import Tree
 
 __all__ = [
     "OpenElem", "OpenHole", "FragElem", "FragHole", "Fragment",
-    "LXPProtocolError", "validate_fill_reply", "fragment_of_tree",
+    "LXPProtocolError", "validate_fill_reply", "graft_reply",
+    "fragment_of_tree",
     "fragment_wire_size", "open_tree_to_tree", "count_holes",
 ]
 
@@ -76,48 +77,10 @@ Fragment = Union[FragElem, FragHole]
 
 
 def validate_fill_reply(fragments: Sequence[Fragment]) -> None:
-    """Enforce the LXP progress rules (paper Section 4):
-
-    * a non-empty reply cannot consist only of holes;
-    * no two adjacent holes.
-
-    An empty reply is legal ("dead end": the hole represented zero
-    elements).
-    """
-    if not fragments:
-        return
-    if all(isinstance(f, FragHole) for f in fragments):
-        raise LXPProtocolError(
-            "fill reply contains only holes: no progress")
-    previous_was_hole = False
-    for fragment in fragments:
-        is_hole = isinstance(fragment, FragHole)
-        if is_hole and previous_was_hole:
-            raise LXPProtocolError("fill reply has two adjacent holes")
-        previous_was_hole = is_hole
-
-    def check(frag: Fragment) -> None:
-        if isinstance(frag, FragHole):
-            return
-        prev_hole = False
-        only_holes = bool(frag.children)
-        for child in frag.children:
-            is_hole = isinstance(child, FragHole)
-            if is_hole and prev_hole:
-                raise LXPProtocolError(
-                    "fill reply has two adjacent holes under %r"
-                    % frag.label)
-            if not is_hole:
-                only_holes = False
-                check(child)
-            prev_hole = is_hole
-        if only_holes and len(frag.children) > 1:
-            raise LXPProtocolError(
-                "element %r has multiple children but only holes"
-                % frag.label)
-
-    for fragment in fragments:
-        check(fragment)
+    """Enforce the LXP progress rules (paper Section 4) on a fill
+    reply; raises :class:`LXPProtocolError` on a violation.  The rules
+    are those :func:`graft_reply` checks while splicing."""
+    graft_reply(fragments, None)
 
 
 def fragment_of_tree(tree: Tree) -> FragElem:
@@ -178,14 +141,59 @@ class OpenHole:
         return "OpenHole(%r)" % (self.hole_id,)
 
 
-def graft(fragment: Fragment,
-          parent: Optional[OpenElem]) -> Union[OpenElem, OpenHole]:
-    """Convert a fill fragment into open nodes under ``parent``."""
-    if isinstance(fragment, FragHole):
-        return OpenHole(fragment.hole_id, parent)
-    node = OpenElem(fragment.label, parent)
-    node.children = [graft(c, node) for c in fragment.children]
-    return node
+def graft_reply(fragments: Sequence[Fragment],
+                parent: Optional[OpenElem]
+                ) -> List[Union[OpenElem, OpenHole]]:
+    """Convert a fill reply into open nodes under ``parent``, checking
+    the LXP progress rules (paper Section 4) in the same walk:
+
+    * a non-empty reply cannot consist only of holes;
+    * no two adjacent holes, in the reply or under any element;
+    * an element with several children cannot have only holes.
+
+    An empty reply is legal ("dead end": the hole represented zero
+    elements).  On a violation :class:`LXPProtocolError` is raised;
+    the nodes built so far are reachable from nothing, so the open
+    tree the caller splices into is left unchanged.
+    """
+    return _graft_list(fragments, parent, None)
+
+
+def _graft_list(fragments: Sequence[Fragment], parent: Optional[OpenElem],
+                label: Optional[str]) -> List[Union[OpenElem, OpenHole]]:
+    """One child list of a reply; ``label`` names the element owning
+    it, None for the reply's top level."""
+    nodes: List[Union[OpenElem, OpenHole]] = []
+    previous_was_hole = False
+    progress = False
+    for fragment in fragments:
+        if isinstance(fragment, FragHole):
+            if previous_was_hole:
+                if label is None:
+                    raise LXPProtocolError(
+                        "fill reply has two adjacent holes")
+                raise LXPProtocolError(
+                    "fill reply has two adjacent holes under %r"
+                    % label)
+            nodes.append(OpenHole(fragment.hole_id, parent))
+            previous_was_hole = True
+        else:
+            node = OpenElem(fragment.label, parent)
+            if fragment.children:
+                node.children = _graft_list(fragment.children, node,
+                                            fragment.label)
+            nodes.append(node)
+            previous_was_hole = False
+            progress = True
+    if not progress and nodes:
+        if label is None:
+            raise LXPProtocolError(
+                "fill reply contains only holes: no progress")
+        if len(nodes) > 1:
+            raise LXPProtocolError(
+                "element %r has multiple children but only holes"
+                % label)
+    return nodes
 
 
 def open_tree_to_tree(node: OpenElem,

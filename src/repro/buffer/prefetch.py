@@ -109,16 +109,8 @@ class PrefetchingBuffer(BufferComponent):
         finally:
             self._in_prefetch = False
 
-    # -- navigations trigger a prefetch round afterwards -----------------
-    def down(self, pointer):
-        result = super().down(pointer)
-        self._prefetch()
-        return result
-
-    def right(self, pointer):
-        result = super().right(pointer)
-        self._prefetch()
-        return result
+    #: every down/right step triggers a prefetch round afterwards
+    _navigated = _prefetch
 
 
 class AsyncPrefetchingBuffer(BufferComponent):
@@ -209,15 +201,7 @@ class AsyncPrefetchingBuffer(BufferComponent):
                     self._traced_fill, hole.hole_id, parent)
                 budget -= 1
 
-    def down(self, pointer):
-        result = super().down(pointer)
-        self._schedule()
-        return result
-
-    def right(self, pointer):
-        result = super().right(pointer)
-        self._schedule()
-        return result
+    _navigated = _schedule
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

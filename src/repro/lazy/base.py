@@ -119,6 +119,17 @@ class LazyOperator:
         return None
 
     # -- helpers -----------------------------------------------------------
+    def _pass_values_through(self, child):
+        """Bind ``child``'s value-level navigation as this operator's
+        own, for operators that hand value ids through unchanged: no
+        call frame of theirs then sits on the value path.  (An
+        observed child is its ``SpannedOperator``, which still sees
+        every call.)"""
+        self.v_down = child.v_down
+        self.v_right = child.v_right
+        self.v_fetch = child.v_fetch
+        self.v_select = child.v_select
+
     def _check_var(self, var: str) -> None:
         if var not in self.variables:
             raise LazyError(

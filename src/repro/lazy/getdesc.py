@@ -65,11 +65,6 @@ class LazyGetDescendants(LazyOperator):
         self._first_cache = self.ctx.caches.cache("getDescendants.first")
         self._next_cache = self.ctx.caches.cache("getDescendants.next")
 
-    @property
-    def use_sigma(self) -> bool:
-        """Whether sibling scans may become select(sigma) pushdowns."""
-        return self.ctx.config.use_sigma
-
     # -- bindings ----------------------------------------------------------
     def first_binding(self):
         ib = self.child.first_binding()
@@ -112,17 +107,18 @@ class LazyGetDescendants(LazyOperator):
 
     def _scan_level(self, stack: Stack, vid, states) -> Optional[Stack]:
         """First match at or below the sibling list starting at ``vid``."""
+        nfa = self.nfa
         sigma_labels = None
-        if self.use_sigma:
-            sigma_labels = self.nfa.progress_labels(states)
+        if self.ctx.config.use_sigma:
+            sigma_labels = nfa.progress_labels(states)
             if sigma_labels is not None and not sigma_labels:
                 return None  # no label can advance this frontier
+        v_fetch = self.child.v_fetch
         while vid is not None:
-            label = self.child.v_fetch(vid)
-            after = self.nfa.step(states, label)
-            if self.nfa.is_alive(after):
+            after = nfa.step(states, v_fetch(vid))
+            if after:  # alive: some extension could still match
                 frame = (vid, states, after)
-                if self.nfa.is_accepting(after):
+                if nfa.is_accepting(after):
                     return stack + (frame,)
                 deeper = self._first_in_subtree(
                     stack + (frame,), vid, after)

@@ -32,6 +32,7 @@ class LazySelect(LazyOperator):
                  context: Optional[ExecutionContext] = None):
         super().__init__(context)
         self.child = child
+        self._pass_values_through(child)
         self.predicate = predicate
         self.variables = list(child.variables)
         self._verdicts = self.ctx.caches.cache("select.verdicts")
@@ -64,18 +65,6 @@ class LazySelect(LazyOperator):
         self._check_var(var)
         return self.child.attribute(binding[1], var)
 
-    def v_down(self, value):
-        return self.child.v_down(value)
-
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)
-
 
 class LazyProject(LazyOperator):
     """``pi_{vars}``: restrict the visible attributes; bindings and
@@ -85,6 +74,7 @@ class LazyProject(LazyOperator):
                  context: Optional[ExecutionContext] = None):
         super().__init__(context)
         self.child = child
+        self._pass_values_through(child)
         self.variables = list(variables)
         missing = [v for v in self.variables if v not in child.variables]
         if missing:
@@ -100,18 +90,6 @@ class LazyProject(LazyOperator):
         self._check_var(var)
         return self.child.attribute(binding, var)
 
-    def v_down(self, value):
-        return self.child.v_down(value)
-
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)
-
 
 class LazyRename(LazyOperator):
     """``rho``: rename variables; bindings and values pass through."""
@@ -120,6 +98,7 @@ class LazyRename(LazyOperator):
                  context: Optional[ExecutionContext] = None):
         super().__init__(context)
         self.child = child
+        self._pass_values_through(child)
         self.mapping = dict(mapping)
         self._reverse = {new: old for old, new in self.mapping.items()}
         self.variables = [self.mapping.get(v, v) for v in child.variables]
@@ -136,18 +115,6 @@ class LazyRename(LazyOperator):
     def attribute(self, binding, var):
         self._check_var(var)
         return self.child.attribute(binding, self._reverse.get(var, var))
-
-    def v_down(self, value):
-        return self.child.v_down(value)
-
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)
 
 
 class LazyConstant(LazyOperator):

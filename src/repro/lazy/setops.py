@@ -96,6 +96,7 @@ class _LeftStreamOperator(LazyOperator):
                  context: Optional[ExecutionContext] = None):
         super().__init__(context)
         self.child = child
+        self._pass_values_through(child)
         self.variables = list(child.variables)
 
     def _keep(self, ib) -> bool:
@@ -117,18 +118,6 @@ class _LeftStreamOperator(LazyOperator):
     def attribute(self, binding, var):
         self._check_var(var)
         return self.child.attribute(binding[1], var)
-
-    def v_down(self, value):
-        return self.child.v_down(value)
-
-    def v_right(self, value):
-        return self.child.v_right(value)
-
-    def v_fetch(self, value):
-        return self.child.v_fetch(value)
-
-    def v_select(self, value, predicate):
-        return self.child.v_select(value, predicate)
 
     def _binding_key(self, op: LazyOperator, ib):
         return tuple(

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..algebra.eager import evaluate
 from ..algebra.operators import Operator, Source, TupleDestroy, walk_plan
+from ..buffer.component import BufferComponent, BufferMeter
 from ..buffer.lxp import LXPServer
 from ..client.element import XMLElement, open_virtual_document
 from ..lazy.build import build_virtual_document
@@ -60,6 +61,9 @@ __all__ = ["MIXMediator", "MediatorError", "MediatorWarning",
 
 from ..errors import ReproError
 from ..runtime.locks import make_lock
+
+#: A per-source navigation meter (see :attr:`MIXMediator.meters`).
+Meter = Union[CountingDocument, BufferMeter]
 
 
 class MediatorError(ReproError):
@@ -334,7 +338,7 @@ class MIXMediator:
         #: registration time report through it
         self.runtime = ExecutionContext(config, tracer=self.tracer)
         self._documents: Dict[str, NavigableDocument] = {}
-        self._meters: Dict[str, CountingDocument] = {}
+        self._meters: Dict[str, Meter] = {}
         self._views: Dict[str, TupleDestroy] = {}
         #: raw (pre-resilience, pre-buffer) LXP servers advertising
         #: the push capability, keyed by source name -- what the
@@ -399,10 +403,14 @@ class MIXMediator:
                                        tracer=self.tracer,
                                        metrics=self.runtime.metrics)
             document = counted
+        self._add_source(name, document, counted)
+
+    def _add_source(self, name: str, document: NavigableDocument,
+                    meter: Optional[Meter]) -> None:
         with self._catalog_lock:
             self._check_free(name)
-            if counted is not None:
-                self._meters[name] = counted
+            if meter is not None:
+                self._meters[name] = meter
             self._documents[name] = document
         self.tracer.emit("mediator", "register_source", name=name)
 
@@ -426,6 +434,9 @@ class MIXMediator:
         """Register an LXP wrapper, stacked under the generic buffer.
 
         ``prefetch`` defaults to the engine config's buffer lookahead.
+        With ``meter=True`` the buffer itself is the source's meter
+        (:attr:`meters`): it counts and publishes its commands, so no
+        counting proxy sits on the navigation path.
 
         When the engine config's resilience is active (retries, a
         retry deadline, or degrade mode), the wrapper is hardened
@@ -476,7 +487,6 @@ class MIXMediator:
                                   tracer=self.tracer,
                                   context=self.runtime)
         if prefill_tree is not None:
-            from ..buffer.component import BufferComponent
             buffer = BufferComponent.prefilled(
                 prefill_tree, tracer=self.tracer, name=name)
         else:
@@ -484,9 +494,11 @@ class MIXMediator:
                               workers=self.config.prefetch_workers,
                               batch=self.config.batch_navigations,
                               tracer=self.tracer, name=name)
-        if hasattr(buffer, "stats"):
-            self.runtime.register_buffer(name, buffer.stats)
-        self.register_source(name, buffer, meter)
+        self.runtime.register_buffer(name, buffer.stats)
+        # The buffer is the source's meter: no proxy layer on top.
+        self._add_source(name, buffer,
+                         buffer.meter(self.tracer, self.runtime.metrics)
+                         if meter else None)
         if hasattr(raw_server, "push_compile"):
             with self._catalog_lock:
                 self._pushables[name] = raw_server
@@ -527,9 +539,12 @@ class MIXMediator:
             return tuple(self._fragcache_decisions)
 
     @property
-    def meters(self) -> Dict[str, CountingDocument]:
+    def meters(self) -> Dict[str, Meter]:
         """Per-source navigation meters (when registered with
-        meter=True)."""
+        meter=True): a :class:`CountingDocument` over each
+        :meth:`register_source` document, the buffer's own
+        :class:`~repro.buffer.component.BufferMeter` for each
+        :meth:`register_wrapper` source."""
         return self._meters
 
     def total_source_navigations(self) -> int:

@@ -5,6 +5,8 @@ client navigation costs* (navigational complexity, Definition 2).
 :class:`CountingDocument` is a transparent proxy that meters every
 command crossing it; stacking one between a mediator and each source
 yields exactly the measurements the browsability experiments need.
+(A wrapper source's buffer meters itself the same way, through
+:func:`publish_command`, without a proxy layer.)
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ..runtime.locks import make_rlock
 if False:  # pragma: no cover - import cycle guard, typing only
     from ..runtime.context import Tracer
 
-__all__ = ["NavCounters", "CountingDocument"]
+__all__ = ["NavCounters", "CountingDocument", "publish_command"]
 
 
 @dataclass
@@ -69,6 +71,25 @@ class NavCounters:
                    self.total))
 
 
+def publish_command(tracer: "Optional[Tracer]", metrics, source: str,
+                    command: str) -> None:
+    """Fan one metered source command out to the tracer (a
+    ``source.<command>`` event) and the metrics registry
+    (``source_navigations_total``).
+
+    Every meter calls this *outside* its lock: both sinks run foreign
+    code (tracer subscribers, metric factories), and invoking them
+    under a meter lock puts every subscriber under that lock in the
+    order graph (L012).
+    """
+    if tracer is not None and tracer.active:
+        # lint: allow=E002 -- command is "d"/"r"/"f"/"select"
+        tracer.emit("source", command, source=source)
+    if metrics is not None and metrics.enabled:
+        metrics.counter("source_navigations_total").inc(
+            source=source or "unnamed", command=command)
+
+
 class CountingDocument(NavigableDocument):
     """Metering proxy around any NavigableDocument.
 
@@ -110,21 +131,6 @@ class CountingDocument(NavigableDocument):
         if self.log:
             self.trace.append((command, pointer))
 
-    def _publish(self, command: str) -> None:
-        """Tracer/metrics fan-out -- called *outside* the meter lock.
-
-        Both sinks run foreign code (tracer subscribers, metric
-        factories); invoking them while holding the meter RLock puts
-        every subscriber under this lock in the order graph (L012).
-        """
-        if self.tracer is not None and self.tracer.active:
-            # lint: allow=E002 -- command is "d"/"r"/"f"/"select"
-            self.tracer.emit("source", command, source=self.name)
-        metrics = self.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.counter("source_navigations_total").inc(
-                source=self.name or "unnamed", command=command)
-
     # -- NavigableDocument ----------------------------------------------
     def root(self):
         # Obtaining the root handle is free: the paper's preprocessing
@@ -135,34 +141,35 @@ class CountingDocument(NavigableDocument):
         with self._lock:
             self.counters.down += 1
             self._note_locked("d", pointer)
-        self._publish("d")
+        publish_command(self.tracer, self.metrics, self.name, "d")
         return self.inner.down(pointer)
 
     def right(self, pointer):
         with self._lock:
             self.counters.right += 1
             self._note_locked("r", pointer)
-        self._publish("r")
+        publish_command(self.tracer, self.metrics, self.name, "r")
         return self.inner.right(pointer)
 
     def fetch(self, pointer) -> str:
         with self._lock:
             self.counters.fetch += 1
             self._note_locked("f", pointer)
-        self._publish("f")
+        publish_command(self.tracer, self.metrics, self.name, "f")
         return self.inner.fetch(pointer)
 
     def select(self, pointer, predicate: LabelPredicate):
         with self._lock:
             self.counters.select += 1
             self._note_locked("select", pointer)
-        self._publish("select")
+        publish_command(self.tracer, self.metrics, self.name, "select")
         return self.inner.select(pointer, predicate)
 
     # -- measurement helpers ----------------------------------------------
     def reset(self) -> None:
-        self.counters.reset()
-        self.trace.clear()
+        with self._lock:
+            self.counters.reset()
+            del self.trace[:]
 
     @property
     def total(self) -> int:

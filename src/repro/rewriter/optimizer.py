@@ -16,6 +16,9 @@ from typing import List, Optional, Tuple
 from ..algebra import operators as ops
 from ..algebra.operators import Difference, Materialize, OrderBy
 from .rules import ALL_RULES, FUSE_RULE, _uses_of_variable, rebuild
+# After .rules: repro.pushdown reaches back into this package for
+# ``rebuild`` while it initializes.
+from ..pushdown.plan import PushedSource
 
 __all__ = ["optimize", "OptimizationTrace"]
 
@@ -24,9 +27,6 @@ def _is_pushed(plan: ops.Operator) -> bool:
     """Whether ``plan`` is a PushedSource leaf (opaque to rewriting:
     its compiled request already fixed what the source evaluates, so
     no rule may fire on or below it)."""
-    # Imported lazily: repro.pushdown reaches back into this package
-    # for ``rebuild`` while splicing.
-    from ..pushdown.plan import PushedSource
     return isinstance(plan, PushedSource)
 
 
@@ -120,10 +120,12 @@ def optimize(plan: ops.Operator,
     """
     trace = OptimizationTrace()
     for _ in range(max_passes):
-        before = plan.pretty()
+        # Every rewrite is noted in the trace, so a pass that noted
+        # nothing left the plan unchanged: the fixpoint.
+        fired = len(trace.applied)
         plan = _apply_local_rules(plan, trace)
         plan = _apply_fusion(plan, plan, trace)
-        if plan.pretty() == before:
+        if len(trace.applied) == fired:
             break
     if hybrid:
         plan = _insert_materialize(plan, trace)

@@ -115,10 +115,12 @@ class ManagedCache:
         """The cached value for ``key``, else ``default`` (counted)."""
         if not self.active:
             return default
-        with self.manager._lock:
+        manager = self.manager
+        with manager._lock:
             if key in self._data:
                 self.stats.hits += 1
-                self.manager._touch(self, key)
+                if manager.budget is not None:
+                    manager._touch(self, key)
                 return self._data[key]
             self.stats.misses += 1
             return default
@@ -127,22 +129,27 @@ class ManagedCache:
         """Like :meth:`get` but without touching the counters."""
         if not self.active:
             return default
-        with self.manager._lock:
+        manager = self.manager
+        with manager._lock:
             if key not in self._data:
                 return default
-            self.manager._touch(self, key)
+            if manager.budget is not None:
+                manager._touch(self, key)
             return self._data[key]
 
     def put(self, key: Hashable, value: object) -> None:
         """Store ``key`` -> ``value`` (may trigger evictions)."""
         if not self.active:
             return
-        with self.manager._lock:
+        manager = self.manager
+        with manager._lock:
             fresh = key not in self._data
             self._data[key] = value
             if fresh:
                 self.stats.entries += 1
-            self.manager._on_insert(self, key)
+            budget = manager.budget
+            if budget is not None:
+                manager._on_insert(self, key, budget)
 
     def _evict(self, key: Hashable) -> None:
         del self._data[key]
@@ -155,9 +162,10 @@ class CacheManager:
 
     ``budget`` bounds the number of live *memo* entries across all
     registered caches; inserting past the budget evicts the globally
-    least-recently-used memo entry.  ``enabled=False`` turns every
-    memo cache into a bypass (state caches keep working -- they are
-    semantics, not optimization).
+    least-recently-used memo entry.  Without a budget nothing is ever
+    evicted, so no recency is tracked at all.  ``enabled=False`` turns
+    every memo cache into a bypass (state caches keep working -- they
+    are semantics, not optimization).
 
     One re-entrant lock serializes all lookups, inserts, LRU motion
     and evictions: prefetch workers and fan-out threads hit the same
@@ -172,7 +180,8 @@ class CacheManager:
         self.budget = budget
         self.enabled = enabled
         self._caches: List[ManagedCache] = []
-        #: global LRU over memo entries: (cache id, key) -> None
+        #: global LRU over memo entries, kept only under a budget:
+        #: (cache id, key) -> None
         self._lru: "OrderedDict" = OrderedDict()
         self.evictions = 0
         self._lock = make_rlock("cache.manager")
@@ -189,7 +198,7 @@ class CacheManager:
             self._caches.append(managed)
             return managed
 
-    # -- LRU bookkeeping ---------------------------------------------------
+    # -- LRU bookkeeping (only under a budget) -----------------------------
     def _touch(self, cache: ManagedCache, key: Hashable) -> None:
         if cache.kind != "memo":
             return
@@ -197,7 +206,8 @@ class CacheManager:
         if token in self._lru:
             self._lru.move_to_end(token)
 
-    def _on_insert(self, cache: ManagedCache, key: Hashable) -> None:
+    def _on_insert(self, cache: ManagedCache, key: Hashable,
+                   budget: int) -> None:
         if cache.kind != "memo":
             return
         token = (cache._id, key)
@@ -205,9 +215,7 @@ class CacheManager:
             self._lru.move_to_end(token)
         else:
             self._lru[token] = None
-        if self.budget is None:
-            return
-        while len(self._lru) > self.budget:
+        while len(self._lru) > budget:
             cache_id, victim = self._lru.popitem(last=False)[0]
             self._caches[cache_id]._evict(victim)
             self.evictions += 1
@@ -216,7 +224,8 @@ class CacheManager:
     @property
     def memo_entries(self) -> int:
         """Live memo entries (the budgeted quantity)."""
-        return len(self._lru)
+        with self._lock:
+            return sum(len(c) for c in self._caches if c.kind == "memo")
 
     @property
     def state_entries(self) -> int:

@@ -137,19 +137,45 @@ class Tracer:
                  clock: Optional["Clock"] = None,
                  trace_id: Optional[str] = None) -> None:
         self._callbacks: List[Callable[[TraceEvent], None]] = []
-        self.record = record
+        self._record = record
         self.events: List[TraceEvent] = []
         self.trace_id = trace_id
-        self.sampled = True
+        self._sampled = True
+        #: whether emitting is observable at all: sampled, and
+        #: recording or subscribed.  A plain attribute, read on every
+        #: instrumented navigation; every write to its inputs
+        #: recomputes it.
+        self.active = record
         self._lock = make_lock("trace.tracer")
         self._clock = clock
         self._span_ids = itertools.count(1)
         self._tls = threading.local()
 
+    def _recompute_active_locked(self) -> None:
+        self.active = self._sampled and (self._record
+                                         or bool(self._callbacks))
+
     @property
-    def active(self) -> bool:
-        """Whether emitting is observable at all."""
-        return self.sampled and (self.record or bool(self._callbacks))
+    def record(self) -> bool:
+        """Whether events are kept in :attr:`events`."""
+        return self._record
+
+    @record.setter
+    def record(self, value: bool) -> None:
+        with self._lock:
+            self._record = value
+            self._recompute_active_locked()
+
+    @property
+    def sampled(self) -> bool:
+        """The sampling verdict (see :meth:`sample`)."""
+        return self._sampled
+
+    @sampled.setter
+    def sampled(self, value: bool) -> None:
+        with self._lock:
+            self._sampled = value
+            self._recompute_active_locked()
 
     @property
     def configured(self) -> bool:
@@ -160,7 +186,7 @@ class Tracer:
         only mints and ships trace context on the wire when this is
         true, so the default-off path stays byte-identical.
         """
-        return self.record or bool(self._callbacks)
+        return self._record or bool(self._callbacks)
 
     def ensure_trace_id(self) -> str:
         """The trace id, minted on first use.
@@ -232,6 +258,7 @@ class Tracer:
         """Register a callback invoked on every event."""
         with self._lock:
             self._callbacks.append(callback)
+            self._recompute_active_locked()
 
     @contextmanager
     def subscribed(self, callback: Callable[[TraceEvent], None]
@@ -265,6 +292,7 @@ class Tracer:
                 raise ValueError(
                     "callback %r is not subscribed" % (callback,)
                 ) from None
+            self._recompute_active_locked()
 
     def emit(self, layer: str, event: str, **data: object) -> None:
         """Publish one point event to subscribers (and the record).
@@ -282,7 +310,7 @@ class Tracer:
 
     def _publish(self, record: TraceEvent) -> None:
         with self._lock:
-            if self.record:
+            if self._record:
                 self.events.append(record)
             callbacks = list(self._callbacks)
         for callback in callbacks:

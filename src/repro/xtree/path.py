@@ -222,6 +222,10 @@ def parse_path(text: str) -> PathExpr:
 Guard = Optional[str]
 
 
+#: Entries a :class:`PathNFA` keeps in its ``step`` memo.
+STEP_MEMO_LIMIT = 4096
+
+
 class PathNFA:
     """An epsilon-free NFA over node labels with set-of-states stepping.
 
@@ -240,6 +244,10 @@ class PathNFA:
         self._accept = self._new_state()
         self._build(expr, start, self._accept)
         self._closure_cache: Dict[int, FrozenSet[int]] = {}
+        #: step() memo, (frontier, label) -> frontier: a pure memo,
+        #: since the automaton never changes after construction
+        self._step_memo: Dict[Tuple[FrozenSet[int], str],
+                              FrozenSet[int]] = {}
         self.start_states: FrozenSet[int] = self._closure({start})
         self._recursive = self._detect_cycle()
 
@@ -321,6 +329,20 @@ class PathNFA:
 
     def step(self, states: FrozenSet[int], label: str) -> FrozenSet[int]:
         """Advance the state frontier by one path label."""
+        key = (states, label)
+        memo = self._step_memo
+        after = memo.get(key)
+        if after is None:
+            after = self._step(states, label)
+            if len(memo) >= STEP_MEMO_LIMIT:
+                # Source labels are data (text leaves included): start
+                # over rather than grow with the document.
+                memo.clear()
+            memo[key] = after
+        return after
+
+    def _step(self, states: FrozenSet[int], label: str) -> FrozenSet[int]:
+        """:meth:`step` without the memo."""
         nxt = set()
         for state in states:
             for guard, target in self._transitions[state]:

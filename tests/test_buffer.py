@@ -60,6 +60,73 @@ class TestFillReplyValidation:
         assert frag == FragElem("a", (FragElem("b", (FragElem("c"),)),))
 
 
+class _ScriptedServer:
+    """An LXP server answering each hole id from a fixed script."""
+
+    def __init__(self, replies):
+        self.replies = replies
+
+    def get_root(self):
+        return FragHole("root")
+
+    def fill(self, hole_id):
+        return self.replies[hole_id]
+
+
+#: Each LXP progress-rule violation, as the reply to hole "kids".
+BAD_REPLIES = {
+    "all holes": [FragHole("x")],
+    "adjacent top-level holes": [FragElem("a"), FragHole("x"),
+                                 FragHole("y")],
+    "adjacent nested holes": [FragElem("a", (FragElem("b"), FragHole("x"),
+                                             FragHole("y")))],
+    "several children, all holes": [FragElem("a", (FragHole("x"),
+                                                   FragHole("y")))],
+}
+
+
+class TestOnePassSplice:
+    """The splice validates while it grafts: a reply breaking a
+    progress rule raises before the open tree or the fill count
+    changes."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_REPLIES))
+    def test_violation_leaves_the_open_tree_untouched(self, case):
+        buffer = BufferComponent(_ScriptedServer({
+            "root": [FragElem("r", (FragElem("first"),
+                                    FragHole("kids")))],
+            "kids": BAD_REPLIES[case],
+        }))
+        root = buffer.root()
+        first = buffer.down(root)
+        assert buffer.stats.fills == 1
+        with pytest.raises(LXPProtocolError):
+            buffer.right(first)
+        assert buffer.stats.fills == 1
+        hole = buffer.find_hole("kids")
+        assert hole is not None and hole.parent is root
+        assert [type(c).__name__ for c in root.children] \
+            == ["OpenElem", "OpenHole"]
+        assert buffer.holes_outstanding() == 1
+
+    @pytest.mark.parametrize("case", sorted(BAD_REPLIES))
+    def test_validate_fill_reply_applies_the_same_rules(self, case):
+        with pytest.raises(LXPProtocolError):
+            validate_fill_reply(BAD_REPLIES[case])
+
+    def test_legal_reply_is_grafted_in_place(self):
+        buffer = BufferComponent(_ScriptedServer({
+            "root": [FragElem("r", (FragHole("kids"),))],
+            "kids": [FragHole("front"),
+                     FragElem("a", (FragElem("b"), FragHole("deep"))),
+                     FragHole("back")],
+            "front": [], "deep": [FragElem("c")], "back": [],
+        }))
+        assert materialize(buffer) == elem("r", elem("a", "b", "c"))
+        assert buffer.stats.fills == 5
+        assert buffer.holes_outstanding() == 0
+
+
 EXAMPLE7_TREE = elem("a", elem("b", "d", "e"), elem("c"))
 
 

@@ -424,6 +424,71 @@ class TestFoundBugRegressions:
         for held in held_during_emit:
             assert "source.meter" not in held
 
+    def test_self_metering_buffer_publishes_outside_every_lock(
+            self, sanitizer):
+        """A wrapper source is metered by its buffer, which counts
+        under ``buffer.component``; its ``source.*`` events must
+        still reach subscribers with no meter or buffer lock held."""
+        from repro.mediator.mix import MIXMediator
+        from repro.runtime.config import EngineConfig
+        from repro.runtime.context import Tracer
+        from repro.wrappers import XMLFileWrapper
+        from tests.fixtures import homes_source
+
+        held_during_source = []
+        tracer = Tracer()
+        tracer.subscribe(
+            lambda event: held_during_source.append(
+                lockcheck.held_names())
+            if event.layer == "source" else None)
+        mediator = MIXMediator(EngineConfig(use_sigma=True, prefetch=2),
+                               tracer=tracer)
+        mediator.register_wrapper(
+            "homesSrc", XMLFileWrapper("homesSrc", homes_source(),
+                                       chunk_size=1, depth=1))
+        mediator.prepare(
+            "CONSTRUCT <answer> $H {$H} </answer> {} "
+            "WHERE homesSrc homes.home $H").materialize()
+        assert len(held_during_source) \
+            == mediator.meters["homesSrc"].total > 0
+        for held in held_during_source:
+            assert "buffer.component" not in held
+            assert "source.meter" not in held
+
+    @pytest.mark.parametrize("kind", ["counting_document", "buffer"])
+    def test_meter_reset_takes_the_lock_every_increment_holds(
+            self, kind):
+        """``CountingDocument.reset`` cleared the counters and the
+        command log without the meter lock, so it could land between
+        a command's count and its log entry.  Both meters' resets now
+        wait for a command in flight."""
+        from repro.buffer.component import BufferComponent
+        from repro.navigation.counting import CountingDocument
+        from repro.navigation.materialized import MaterializedDocument
+        from repro.xtree import elem
+
+        tree = elem("home", elem("addr", "a"))
+        if kind == "buffer":
+            document = BufferComponent.prefilled(tree)
+            meter = document.meter()
+        else:
+            document = meter = CountingDocument(
+                MaterializedDocument(tree), log=True)
+        document.down(document.root())
+        assert meter.total == 1
+        document._lock.acquire()  # a command is mid-record
+        try:
+            resetter = threading.Thread(target=meter.reset, daemon=True)
+            resetter.start()
+            resetter.join(timeout=0.2)
+            assert resetter.is_alive()  # waits for the command
+            assert meter.total == 1
+        finally:
+            document._lock.release()
+        resetter.join(timeout=10)
+        assert not resetter.is_alive()
+        assert meter.total == 0
+
     def test_prefilled_buffer_needs_no_lock_to_build(self, sanitizer):
         """BufferComponent.prefilled locked the buffer it was still
         building (closing a static cycle with the demand-fill path);

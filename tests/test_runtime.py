@@ -162,6 +162,30 @@ class TestCacheManager:
         assert set(caches.as_dict()) >= {"enabled", "budget", "caches",
                                          "memo_entries", "evictions"}
 
+    @pytest.mark.parametrize("budget", [None, 2, 100])
+    def test_memo_entries_counts_live_memo_entries(self, budget):
+        caches = CacheManager(budget=budget)
+        a, b = caches.cache("a"), caches.cache("b")
+        state = caches.cache("s", kind="state")
+        for key in range(3):
+            a.put(key, key)
+            b.put(key, key)
+            state.put(key, key)
+        a.put(0, "again")           # overwrite: no new entry
+        live = len(a) + len(b)
+        assert caches.memo_entries == live
+        assert live == (6 if budget is None else min(budget, 6))
+        assert caches.as_dict()["memo_entries"] == live
+        assert caches.state_entries == 3
+
+    def test_unbudgeted_manager_keeps_no_recency(self):
+        caches = CacheManager()
+        memo = caches.cache("m")
+        memo.put("k", 1)
+        assert memo.get("k") == 1 and memo.peek("k") == 1
+        assert caches.memo_entries == 1 and caches.evictions == 0
+        assert len(caches._lru) == 0
+
     def test_stats_merge(self):
         merged = CacheStats(hits=1, misses=2).merge(
             CacheStats(hits=3, evictions=4))
@@ -178,6 +202,38 @@ class TestTracer:
         assert not tracer.active
         tracer.emit("x", "y")       # no-op
         assert tracer.events == []
+
+    def test_active_tracks_every_input(self):
+        tracer = Tracer()
+        assert tracer.active is False
+
+        def callback(event):
+            pass
+
+        tracer.subscribe(callback)
+        assert tracer.active is True
+        tracer.unsubscribe(callback)
+        assert tracer.active is False
+        with tracer.subscribed(callback):
+            assert tracer.active is True
+        assert tracer.active is False
+        tracer.record = True
+        assert tracer.active is True and tracer.record
+        tracer.record = False
+        assert tracer.active is False
+        recording = Tracer(record=True)
+        assert recording.active is True
+        recording.sampled = False
+        assert recording.active is False and recording.configured
+        recording.sampled = True
+        assert recording.active is True
+
+    def test_sample_decides_active(self):
+        tracer = Tracer(record=True, trace_id="fixed")
+        assert tracer.sample(0.0) is False
+        assert tracer.active is False
+        assert tracer.sample(1.0) is True
+        assert tracer.active is True
 
     def test_subscribe_and_record(self):
         tracer = Tracer(record=True)

@@ -168,3 +168,31 @@ def test_parse_of_str_is_identity_modulo_matching(expr, labels):
     reparsed = parse_path(str(expr))
     assert (compile_path(reparsed).matches(labels)
             == compile_path(expr).matches(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    expr=_exprs(2),
+    walks=st.lists(st.lists(st.sampled_from(_LABELS + ["z"]), max_size=6),
+                   min_size=1, max_size=4),
+)
+def test_memoized_step_matches_uncached_stepping(expr, walks):
+    """Several walks over one automaton, so later steps hit the memo
+    earlier ones filled."""
+    nfa = compile_path(expr)
+    for labels in walks:
+        cached = uncached = nfa.start_states
+        for label in labels:
+            cached = nfa.step(cached, label)
+            uncached = nfa._step(uncached, label)
+            assert cached == uncached
+
+
+def test_step_memo_is_bounded():
+    from repro.xtree.path import STEP_MEMO_LIMIT
+
+    nfa = compile_path("_*")
+    after = nfa._step(nfa.start_states, "any")
+    for index in range(STEP_MEMO_LIMIT + 10):
+        assert nfa.step(nfa.start_states, "l%d" % index) == after
+    assert 0 < len(nfa._step_memo) <= STEP_MEMO_LIMIT
